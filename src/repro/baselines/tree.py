@@ -43,6 +43,7 @@ __all__ = [
     "WALK_MODES",
     "resolve_walk_mode",
     "concat_ranges",
+    "pair_arrays",
 ]
 
 _SQRT3 = float(np.sqrt(3.0))  # circumscribed-sphere factor of a cube
@@ -80,6 +81,13 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     out[0] = starts[0]
     out[ends[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
     return np.cumsum(out)
+
+
+def pair_arrays(rows: list[np.ndarray], src: list[np.ndarray]):
+    """Concatenate per-leaf neighbour hits into ``(rows, src)`` int64 arrays."""
+    if not rows:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(rows), np.concatenate(src)
 
 
 class OctreeStats:
@@ -145,6 +153,9 @@ class Octree:
         self.quadrupole = bool(quadrupole)
         self.stats = OctreeStats()
         self.walk_stats = None
+        #: ``(sink rows, source ids)`` of the last walk's in-sphere
+        #: pairs (set when it was given ``h_i``; see ``accelerations``)
+        self.neighbour_pairs = None
         self._oct_masks = None
         self._build()
 
@@ -418,12 +429,15 @@ class Octree:
         h_i:
             Optional per-sink neighbour-sphere radius (scalar
             broadcasts).  Sources with unsoftened ``dist2 < h_i**2``
-            are excluded from the walk entirely — the exact complement
-            of :func:`repro.grape.neighbours.neighbour_search`'s range
-            predicate — so a hybrid backend can add the near field by
-            direct summation without double counting.  Nodes are only
-            accepted as multipoles when their cube lies wholly outside
-            the sink's sphere.
+            are excluded from the walk entirely and handed back as the
+            near field: nodes are only accepted as multipoles when
+            their cube lies wholly outside the sink's sphere, so every
+            in-sphere source sits in an opened leaf, where the walk
+            tests it with :func:`repro.grape.neighbours.neighbour_search`'s
+            range predicate.  The hits, minus each sink's own particle,
+            land in :attr:`neighbour_pairs` as ``(rows, src)`` int64
+            arrays (sink row, source id); a hybrid backend sums exactly
+            those pairs directly, without double counting.
         walk:
             Walk strategy override (:data:`WALK_MODES`); defaults to
             ``REPRO_TREE_WALK`` / ``"grouped"``.
@@ -452,13 +466,14 @@ class Octree:
         if resolve_walk_mode(walk) == "grouped":
             from ..hybrid.walk import grouped_accelerations
 
-            acc, jerk, wstats = grouped_accelerations(
+            acc, jerk, wstats, pairs = grouped_accelerations(
                 self, pos_i, theta, eps,
                 vel_i=vel_i if want_jerk else None,
                 exclude_self=exclude_self, h_i=h_i,
                 n_crit=n_crit, engine=engine,
             )
             self.walk_stats = wstats
+            self.neighbour_pairs = pairs
             self.stats.node_interactions += wstats.node_terms
             self.stats.pp_interactions += wstats.pp_terms
             return acc, jerk if want_jerk else None
@@ -467,6 +482,8 @@ class Octree:
         acc = np.zeros((n_i, 3))
         jerk = np.zeros((n_i, 3)) if want_jerk else None
         eps2 = float(eps) ** 2
+        near_rows: list[np.ndarray] = []
+        near_src: list[np.ndarray] = []
 
         # frontier of (sink, node) pairs
         pi = np.arange(n_i, dtype=np.int64)
@@ -550,10 +567,15 @@ class Octree:
                         mask = src == exclude_self[sink]
                         r2[mask] = np.inf
                     if h_i is not None:
-                        # strict-inequality complement of neighbour_search's
-                        # ``dist2 < h**2`` range predicate (same unsoftened
-                        # distances, so the near/far split is exact)
-                        r2[dist2 < h_i[sink] ** 2] = np.inf
+                        # neighbour_search's unsoftened ``dist2 < h**2``
+                        # range predicate: the hits are the near field
+                        within = dist2 < h_i[sink] ** 2
+                        r2[within] = np.inf
+                        if exclude_self is not None:
+                            within &= ~mask
+                        hits = src[within]
+                        near_rows.append(np.full(hits.size, sink, dtype=np.int64))
+                        near_src.append(hits)
                     with np.errstate(divide="ignore"):
                         inv_r3 = 1.0 / (r2 * np.sqrt(r2))
                     w = self.mass[src] * inv_r3
@@ -579,4 +601,5 @@ class Octree:
                 pi = np.empty(0, dtype=np.int64)
                 nodes = np.empty(0, dtype=np.int64)
 
+        self.neighbour_pairs = None if h_i is None else pair_arrays(near_rows, near_src)
         return acc, jerk

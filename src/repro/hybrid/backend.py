@@ -3,20 +3,24 @@
 Per active block the force on each sink ``i`` is split at its
 neighbour sphere ``h_i``:
 
-* **near field** — sources with unsoftened ``dist2 < h_i**2``
-  (found by :func:`repro.grape.neighbours.neighbour_search`, the same
-  range query the GRAPE-6 neighbour memory answers in hardware) are
-  summed directly through the :mod:`repro.accel` engine's masked
+* **near field** — sources with unsoftened ``dist2 < h_i**2`` (the
+  range predicate the GRAPE-6 neighbour memory answers in hardware)
+  are summed directly through the :mod:`repro.accel` engine's masked
   kernel, so the fixed-order j-chunk reduction keeps serial and
   threaded results bit-identical;
 * **far field** — everything else comes from one
   :class:`repro.baselines.tree.Octree` walk with the sink's sphere
   carved out of the node-acceptance test (a node is only taken as a
-  multipole when its cube lies wholly outside the sphere, and leaf
-  sums drop in-sphere sources with the *same strict predicate* the
-  neighbour search uses), so the near/far partition is exact: no pair
-  is double-counted or dropped, and at ``theta = 0`` the hybrid
-  reproduces pure direct summation to summation-order rounding.
+  multipole when its cube lies wholly outside the sphere, so every
+  in-sphere source lies in an opened leaf).
+
+The walk supplies the near field: its leaf sums test every opened
+source against the sphere anyway, and hand the hits back as
+``Octree.neighbour_pairs`` instead of throwing them away — as GRAPE-6
+finds neighbours in the force pass.  No dense ``n_active x N`` search
+runs, and near + far is an exact partition by construction: no pair
+is double-counted or dropped, and at ``theta = 0`` the hybrid
+reproduces pure direct summation to summation-order rounding.
 
 Jerks stay 4th-order-Hermite-grade on both sides of the split: the
 near field uses the exact pairwise jerk, the far field the analytic
@@ -179,18 +183,15 @@ class HybridBackend(ForceBackend):
 
         t0 = perf_counter()
         with self._tracer.span("hybrid.direct", n_active=int(active.size)):
-            # the same strict range predicate neighbour_search answers
-            # (dr = source - sink, unsoftened dist2 < h**2, self masked
-            # to inf), evaluated as one boolean matrix — no per-sink
-            # list plumbing on the hot path
-            dr = system.pred_pos[None, :, :] - pos_i[:, None, :]
-            dist2 = np.einsum("ijk,ijk->ij", dr, dr)
-            dist2[np.arange(active.size), active] = np.inf
-            within = dist2 < h_act[:, None] ** 2
-            near = int(within.sum())
-            union = np.flatnonzero(within.any(axis=0))
+            # the walk's in-sphere pairs (dist2 < h**2, self excluded)
+            # as a boolean sink x source mask over the ascending union
+            # of their sources
+            rows, src = tree.neighbour_pairs
+            near = int(rows.size)
+            union = np.unique(src)
             if union.size:
-                include = within[:, union]
+                include = np.zeros((active.size, union.size), dtype=bool)
+                include[rows, np.searchsorted(union, src)] = True
                 acc_near, jerk_near = self.engine.acc_jerk_masked(
                     pos_i, vel_i,
                     system.pred_pos[union], system.pred_vel[union],

@@ -17,9 +17,11 @@ Exactness contracts (tested):
   bits differ) and serial ≡ threaded stays bit-identical through the
   engine's fixed-order reduction;
 * per-sink neighbour spheres and self-exclusion are applied at
-  *evaluation* (mask / self-index), never at acceptance, so the
-  near/far partition is bitwise the complement of
-  ``neighbour_search``'s ``dist2 < h**2`` predicate;
+  *evaluation* (mask / self-index), never at acceptance; the in-sphere
+  hits the mask drops are handed back as ``(sink row, source id)``
+  pairs, and the clearance test puts every in-sphere source in an
+  opened leaf, so those pairs are the whole near field and near + far
+  is an exact partition;
 * at ``theta = 0`` nothing is accepted, every group's source list is
   all particles in ascending order, and each group's ``acc_jerk`` call
   is a row-subset of the full direct call — bit-identical to direct
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ...baselines.tree import pair_arrays
 from .groups import build_groups, walk_groups
 
 __all__ = ["WalkStats", "grouped_accelerations"]
@@ -64,7 +67,10 @@ def grouped_accelerations(
     (which normalises them before delegating here); ``vel_i=None``
     evaluates accelerations only and returns ``jerk=None``.
 
-    Returns ``(acc, jerk_or_None, WalkStats)``.
+    Returns ``(acc, jerk_or_None, WalkStats, pairs_or_None)``; with
+    ``h_i`` given, ``pairs`` is the ``(rows, src)`` tuple of every
+    opened-leaf source with unsoftened ``dist2 < h_i[row]**2``, the
+    sink's own particle excluded.
     """
     if engine is None:
         from ...accel import get_engine
@@ -75,8 +81,10 @@ def grouped_accelerations(
     acc = np.zeros((n_i, 3))
     jerk = np.zeros((n_i, 3)) if want_jerk else None
     stats = WalkStats()
+    near_rows: list[np.ndarray] = []
+    near_src: list[np.ndarray] = []
     if n_i == 0:
-        return acc, jerk, stats
+        return acc, jerk, stats, None if h_i is None else pair_arrays(near_rows, near_src)
 
     # sinks without velocities still go through the acc+jerk kernels
     # (the node-monopole jerk falls out of the same tile); the jerk
@@ -114,32 +122,36 @@ def grouped_accelerations(
         src = lists.sources(g)
         if src.size:
             sp = tree.pos[src]
+            if exclude_self is None:
+                hit = pos_in = None
+            else:
+                # position of each sink's own particle in the sorted
+                # source list (rows ``hit`` hold it at ``pos_in``)
+                pos_in = np.searchsorted(src, exclude_self[rows])
+                pos_in = np.clip(pos_in, 0, src.size - 1)
+                hit = np.flatnonzero(src[pos_in] == exclude_self[rows])
             if h_i is None:
                 self_idx = None
-                if exclude_self is not None:
-                    # position of each sink's own particle in the sorted
-                    # source list; -1 = not present (never matches)
-                    pos_in = np.searchsorted(src, exclude_self[rows])
-                    pos_in = np.clip(pos_in, 0, src.size - 1)
-                    present = src[pos_in] == exclude_self[rows]
-                    self_idx = np.where(present, pos_in, -1)
+                if hit is not None:
+                    self_idx = np.full(rows.size, -1, dtype=np.int64)
+                    self_idx[hit] = pos_in[hit]
                 pa, pj = engine.acc_jerk(
                     pi, vi, sp, src_vel[src], tree.mass[src], eps,
                     self_indices=self_idx, kernel="accel",
                 )
             else:
-                # evaluation-time neighbour carve: identical unsoftened
-                # distance bits as neighbour_search's range predicate,
-                # so near+far is an exact partition
+                # evaluation-time neighbour carve with neighbour_search's
+                # unsoftened range predicate; the hits are the near field
                 dr = sp[None, :, :] - pi[:, None, :]
                 dist2 = np.einsum("ijk,ijk->ij", dr, dr)
-                include = ~(dist2 < h_i[rows][:, None] ** 2)
-                if exclude_self is not None:
-                    pos_in = np.searchsorted(src, exclude_self[rows])
-                    pos_in = np.clip(pos_in, 0, src.size - 1)
-                    present = src[pos_in] == exclude_self[rows]
-                    hit = np.flatnonzero(present)
+                within = dist2 < h_i[rows][:, None] ** 2
+                include = ~within
+                if hit is not None:
+                    within[hit, pos_in[hit]] = False
                     include[hit, pos_in[hit]] = False
+                r, c = np.nonzero(within)
+                near_rows.append(rows[r])
+                near_src.append(src[c])
                 pa, pj = engine.acc_jerk_masked(
                     pi, vi, sp, src_vel[src], tree.mass[src], eps,
                     include, kernel="accel",
@@ -156,4 +168,4 @@ def grouped_accelerations(
             if want_jerk:
                 jerk[rows] = j_g
 
-    return acc, jerk, stats
+    return acc, jerk, stats, None if h_i is None else pair_arrays(near_rows, near_src)

@@ -26,6 +26,8 @@ from repro.core import (
     TimestepParams,
     energy,
 )
+from repro.baselines.tree import Octree
+from repro.core.predictor import predict_system
 from repro.errors import ConfigurationError
 from repro.hybrid import HybridBackend
 from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
@@ -274,3 +276,121 @@ class TestObservability:
         from repro.obs.report import hybrid_breakdown
 
         assert hybrid_breakdown({}) is None
+
+
+def dense_near_field_reference(backend, system, active, t_now):
+    """``HybridBackend.forces_on`` with the dense near-field predicate.
+
+    The far field is the same octree walk; the near field comes from
+    the full ``n_active x N`` separation tile (``dr = src - sink``,
+    unsoftened ``dist2``, self set to ``inf``, strict
+    ``dist2 < h**2``), gathered over its ascending source union and fed
+    to the same masked kernel in the same order.
+    """
+    predict_system(system, t_now)
+    h_eff = np.where(system.h_nb > 0.0, system.h_nb, backend.r_neighbour)
+    h_act = h_eff[active]
+    pos_i = system.pred_pos[active]
+    vel_i = system.pred_vel[active]
+    tree = Octree(system.pred_pos, system.mass, vel=system.pred_vel,
+                  leaf_size=backend.leaf_size)
+    acc, jerk = tree.accelerations(
+        pos_i, theta=backend.theta, eps=backend.eps, vel_i=vel_i,
+        exclude_self=active.astype(np.int64), h_i=h_act,
+        walk=backend.walk, n_crit=backend.n_crit, engine=backend.engine,
+    )
+    dr = system.pred_pos[None, :, :] - pos_i[:, None, :]
+    dist2 = np.einsum("ijk,ijk->ij", dr, dr)
+    dist2[np.arange(active.size), active] = np.inf
+    within = dist2 < h_act[:, None] ** 2
+    union = np.flatnonzero(within.any(axis=0))
+    if union.size:
+        acc_near, jerk_near = backend.engine.acc_jerk_masked(
+            pos_i, vel_i, system.pred_pos[union], system.pred_vel[union],
+            system.mass[union], backend.eps, within[:, union],
+        )
+        acc += acc_near
+        jerk += jerk_near
+    return acc, jerk, int(within.sum())
+
+
+class TestNearFieldFromWalk:
+    """The walk's neighbour pairs replace the dense predicate bit for bit."""
+
+    @pytest.mark.parametrize("walk", ["grouped", "persink"])
+    @pytest.mark.parametrize("theta", [0.0, 0.6])
+    def test_forces_on_bitwise_equals_dense_reference(self, walk, theta):
+        sys_ = make_random_cluster(160, seed=4)
+        sys_.h_nb[:] = np.random.default_rng(5).choice(
+            [0.0, 0.2, 0.6], size=sys_.n)  # 0 = the backend default
+        active = np.arange(1, sys_.n, 2)
+        backend = HybridBackend(eps=EPS, theta=theta, r_neighbour=0.4,
+                                walk=walk)
+        # t_now past the particles' time: sinks are predicted positions
+        a_h, j_h = backend.forces_on(sys_, active, 0.05)
+        a_r, j_r, near = dense_near_field_reference(
+            backend, sys_.copy(), active, 0.05)
+        assert near > 0
+        assert backend.near_interactions == near
+        assert np.array_equal(a_h, a_r)
+        assert np.array_equal(j_h, j_r)
+
+
+class TestPersinkWalk:
+    """``HybridBackend(walk="persink")`` — the ``--tree-walk persink`` path."""
+
+    def _run(self, backend, t_end=10.0):
+        sys_ = fresh_disk()
+        sys_.h_nb[:] = 3.0  # a few neighbours each (spacing 1-10)
+        sim = Simulation(sys_, backend, external_field=KeplerField(),
+                         timestep_params=TimestepParams())
+        sim.initialize()
+        sim.evolve(t_end)
+        return sys_
+
+    def test_walks_agree_and_theta_zero_matches_direct(self):
+        runs = {
+            walk: HybridBackend(eps=0.008, theta=0.0, r_neighbour=0.05,
+                                walk=walk)
+            for walk in ("grouped", "persink")
+        }
+        finals = {walk: self._run(b) for walk, b in runs.items()}
+        direct = self._run(HostDirectBackend(eps=0.008))
+        assert runs["persink"].near_interactions > 0
+        assert (runs["persink"].near_interactions
+                == runs["grouped"].near_interactions)
+        assert runs["persink"].builds == runs["grouped"].builds
+        for final in finals.values():
+            np.testing.assert_allclose(final.pos, direct.pos, rtol=1e-11,
+                                       atol=1e-12)
+            np.testing.assert_allclose(final.vel, direct.vel, rtol=1e-11,
+                                       atol=1e-12)
+
+    def test_cli_persink_run(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "run", "--n", "32", "--t-end", "1", "--backend", "hybrid",
+            "--theta", "0.4", "--tree-walk", "persink",
+        ]) == 0
+        assert "block steps:" in capsys.readouterr().out
+
+
+class TestNearFieldMemory:
+    def test_full_block_stays_below_one_dense_tile(self):
+        """No ``n_active x N`` temporaries: one full-block force call at
+        N = 4096 peaks below a single ``n_active x N`` float64 array."""
+        import tracemalloc
+
+        sys_ = fresh_disk(n=4094, seed=12)
+        active = np.arange(sys_.n)
+        backend = HybridBackend(eps=0.008)
+        backend.forces_on(sys_, active, 0.0)  # warm caches and workspaces
+        tracemalloc.start()
+        try:
+            backend.forces_on(sys_, active, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert backend.near_interactions > 0
+        assert peak < active.size * sys_.n * 8

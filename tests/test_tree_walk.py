@@ -286,3 +286,100 @@ class TestEnvSelection:
         _walk(tree, cluster, 0.6, None)
         assert tree.walk_stats is not None
         assert os.environ["REPRO_TREE_WALK"] == "grouped"
+
+
+def dense_neighbour_pairs(sinks, pos, h, self_idx):
+    """The oracle: the dense ``n_sinks x N`` range predicate.
+
+    ``dr = src - sink``, unsoftened ``einsum`` ``dist2``, each sink's
+    own particle set to ``inf``, strict ``dist2 < h**2`` — the
+    predicate the hybrid's near field is defined by.  Returns the hits
+    as lexicographically sorted ``(rows, src)`` arrays.
+    """
+    dr = pos[None, :, :] - sinks[:, None, :]
+    dist2 = np.einsum("ijk,ijk->ij", dr, dr)
+    dist2[np.arange(sinks.shape[0]), self_idx] = np.inf
+    return np.nonzero(dist2 < h[:, None] ** 2)
+
+
+def sorted_pairs(pairs):
+    rows, src = pairs
+    order = np.lexsort((src, rows))
+    return rows[order], src[order]
+
+
+class TestNeighbourPairsOracle:
+    """The walk's in-sphere pairs are exactly the dense predicate's.
+
+    Covers mixed radii including 0, sources exactly on (and one ulp
+    inside) a sphere's boundary, coincident particles, and sinks at
+    predicted positions that drifted off the particles the tree was
+    built on.
+    """
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        rng = np.random.default_rng(21)
+        n = 200
+        pos = rng.normal(scale=1.0, size=(n, 3))
+        # coincident particles: 10-12 sit on 3, 20 on 21
+        pos[10:13] = pos[3]
+        pos[20] = pos[21]
+        # sink 0 at a dyadic point, 1 exactly on its h = 0.5 sphere,
+        # 2 one ulp inside it
+        pos[0] = [0.25, 0.5, -0.125]
+        pos[1] = [0.75, 0.5, -0.125]
+        pos[2] = [np.nextafter(0.75, 0.0), 0.5, -0.125]
+        mass = rng.uniform(0.5, 1.5, size=n) / n
+        vel = rng.normal(scale=0.1, size=(n, 3))
+        h = rng.choice([0.0, 0.2, 0.5, 0.9], size=n)
+        h[0] = 0.5
+        h[3] = 0.3
+        drift = pos + rng.normal(scale=0.05, size=(n, 3))
+        drift[:3] = pos[:3]  # keep the boundary probes exact
+        return pos, vel, mass, h, drift
+
+    @pytest.mark.parametrize("walk", WALK_MODES)
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("sinks", ["particles", "drifted"])
+    def test_pairs_equal_dense_predicate(self, scene, walk, theta, sinks):
+        pos, vel, mass, h, drift = scene
+        n = pos.shape[0]
+        tree = Octree(pos, mass, vel=vel, leaf_size=4)
+        sink_pos = pos if sinks == "particles" else drift
+        tree.accelerations(
+            sink_pos, theta=theta, eps=EPS, vel_i=vel,
+            exclude_self=np.arange(n), h_i=h, walk=walk, n_crit=8,
+        )
+        got = sorted_pairs(tree.neighbour_pairs)
+        want = dense_neighbour_pairs(sink_pos, pos, h, np.arange(n))
+        assert got[0].dtype == got[1].dtype == np.int64
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert want[0].size > 0, "no in-sphere pairs: test vacuous"
+        hits = set(zip(*(a.tolist() for a in want)))
+        assert (0, 1) not in hits  # exactly on the sphere: far field
+        assert (0, 2) in hits  # one ulp inside: near field
+        if sinks == "particles":
+            assert {(3, 10), (3, 11), (3, 12)} <= hits  # coincident
+        assert not (h[want[0]] == 0).any()  # h = 0 has no neighbours
+
+    @pytest.mark.parametrize("walk", WALK_MODES)
+    def test_subset_of_sinks_keeps_row_numbers(self, scene, walk):
+        """Rows index the sink block, not the particle array."""
+        pos, vel, mass, h, _ = scene
+        active = np.arange(0, pos.shape[0], 3)
+        tree = Octree(pos, mass, vel=vel)
+        tree.accelerations(
+            pos[active], theta=0.7, eps=EPS, vel_i=vel[active],
+            exclude_self=active, h_i=h[active], walk=walk,
+        )
+        got = sorted_pairs(tree.neighbour_pairs)
+        want = dense_neighbour_pairs(pos[active], pos, h[active], active)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("walk", WALK_MODES)
+    def test_no_spheres_no_pairs(self, cluster, tree, walk):
+        _walk(tree, cluster, 0.5, walk)
+        assert tree.neighbour_pairs is None
