@@ -10,7 +10,9 @@ measures that with this backend.
 
 The tree is built over source particles *predicted to the block time*,
 so the force is consistent with the direct backends up to the multipole
-truncation error.
+truncation error.  Forces come from the octree's grouped walk
+(:mod:`repro.hybrid.walk`), which at ``theta = 0`` is bitwise equal to
+direct summation.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from ..core.backends import ForceBackend
 from ..core.forces import InteractionCounter
 from ..core.predictor import predict_system
 from ..errors import ConfigurationError
-from .tree import Octree, resolve_walk_mode
+from .tree import Octree
 
 __all__ = ["TreeBackend"]
 
 
 class TreeBackend(ForceBackend):
-    """Barnes–Hut force backend (monopole, rebuilt every block).
+    """Barnes–Hut force backend (monopole, rebuilt every block, grouped walk).
 
     Parameters
     ----------
@@ -38,9 +40,6 @@ class TreeBackend(ForceBackend):
         Opening angle; smaller is more accurate and more expensive.
     leaf_size:
         Bucket size of the octree.
-    walk:
-        Tree-walk strategy (:data:`repro.baselines.tree.WALK_MODES`);
-        ``None`` resolves ``REPRO_TREE_WALK`` / ``"grouped"``.
     n_crit:
         Grouped-walk sink-group size target.
     engine:
@@ -49,7 +48,7 @@ class TreeBackend(ForceBackend):
     """
 
     def __init__(self, eps: float, theta: float = 0.5, leaf_size: int = 8,
-                 walk: str | None = None, n_crit: int = 32, engine=None) -> None:
+                 n_crit: int = 32, engine=None) -> None:
         if theta < 0:
             raise ConfigurationError("theta must be non-negative")
         if n_crit < 1:
@@ -57,13 +56,12 @@ class TreeBackend(ForceBackend):
         self.eps = float(eps)
         self.theta = float(theta)
         self.leaf_size = int(leaf_size)
-        self.walk = resolve_walk_mode(walk)
         self.n_crit = int(n_crit)
         self.engine = engine
         self.counter = InteractionCounter()
         #: trees built over the run (== block steps; the cost driver)
         self.builds = 0
-        #: cumulative tree-walk interaction count (pp + node)
+        #: cumulative tree walk interaction count (pp + node)
         self.walk_interactions = 0
 
     def load(self, system) -> None:
@@ -82,7 +80,6 @@ class TreeBackend(ForceBackend):
             eps=self.eps,
             vel_i=system.pred_vel[active],
             exclude_self=_dense_exclusion(active, system.n),
-            walk=self.walk,
             n_crit=self.n_crit,
             engine=self.engine,
         )

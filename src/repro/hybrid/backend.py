@@ -8,11 +8,11 @@ neighbour sphere ``h_i``:
   are summed directly through the :mod:`repro.accel` engine's masked
   kernel, so the fixed-order j-chunk reduction keeps serial and
   threaded results bit-identical;
-* **far field** — everything else comes from one
-  :class:`repro.baselines.tree.Octree` walk with the sink's sphere
-  carved out of the node-acceptance test (a node is only taken as a
-  multipole when its cube lies wholly outside the sphere, so every
-  in-sphere source lies in an opened leaf).
+* **far field** — everything else comes from one grouped
+  :class:`repro.baselines.tree.Octree` walk (:mod:`repro.hybrid.walk`)
+  with the sink's sphere carved out of the node-acceptance test (a
+  node is only taken as a multipole when its cube lies wholly outside
+  the sphere, so every in-sphere source lies in an opened leaf).
 
 The walk supplies the near field: its leaf sums test every opened
 source against the sphere anyway, and hand the hits back as
@@ -37,7 +37,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..baselines.tree import Octree, resolve_walk_mode
+from ..baselines.tree import Octree
 from ..core.backends import ForceBackend
 from ..core.forces import InteractionCounter
 from ..core.predictor import predict_system
@@ -68,11 +68,8 @@ class HybridBackend(ForceBackend):
         A :class:`repro.accel.KernelEngine` for the near-field masked
         kernel and the diagnostic potential; defaults to the shared
         process-wide engine.
-    walk:
-        Tree-walk strategy (:data:`repro.baselines.tree.WALK_MODES`);
-        ``None`` resolves ``REPRO_TREE_WALK`` / ``"grouped"``.
     n_crit:
-        Grouped-walk sink-group size target (bigger groups amortise
+        Sink-group size target of the walk (bigger groups amortise
         the walk over more sinks, at the price of a looser bounding
         sphere and thus longer interaction lists).
     """
@@ -84,7 +81,6 @@ class HybridBackend(ForceBackend):
         r_neighbour: float = 0.05,
         leaf_size: int = 8,
         engine=None,
-        walk: str | None = None,
         n_crit: int = 32,
     ) -> None:
         if eps < 0:
@@ -99,7 +95,6 @@ class HybridBackend(ForceBackend):
         self.theta = float(theta)
         self.r_neighbour = float(r_neighbour)
         self.leaf_size = int(leaf_size)
-        self.walk = resolve_walk_mode(walk)
         self.n_crit = int(n_crit)
         self.counter = InteractionCounter()
         if engine is None:
@@ -111,7 +106,7 @@ class HybridBackend(ForceBackend):
         self.builds = 0
         #: cumulative direct near-field pair count (the collisional work)
         self.near_interactions = 0
-        #: cumulative tree-walk interaction count (pp + node terms)
+        #: cumulative tree walk interaction count (pp + node terms)
         self.far_interactions = 0
         #: wall seconds spent in tree build + walk / in the direct sum
         self.tree_seconds = 0.0
@@ -165,7 +160,7 @@ class HybridBackend(ForceBackend):
                 )
             dt_build = perf_counter() - t0
             t0 = perf_counter()
-            with self._tracer.span("tree.walk", walk=self.walk):
+            with self._tracer.span("tree.walk"):
                 acc, jerk = tree.accelerations(
                     pos_i,
                     theta=self.theta,
@@ -173,7 +168,6 @@ class HybridBackend(ForceBackend):
                     vel_i=vel_i,
                     exclude_self=active.astype(np.int64),
                     h_i=h_act,
-                    walk=self.walk,
                     n_crit=self.n_crit,
                     engine=self.engine,
                 )
@@ -218,12 +212,11 @@ class HybridBackend(ForceBackend):
         self._c_build_s.inc(dt_build)
         self._c_walk_s.inc(dt_walk)
         wstats = tree.walk_stats
-        if wstats is not None:
-            self._c_groups.inc(wstats.n_groups)
-            self._c_node_terms.inc(wstats.node_terms)
-            self._c_pp_terms.inc(wstats.pp_terms)
-            for size in wstats.group_sizes:
-                self._h_group_size.observe(float(size))
+        self._c_groups.inc(wstats.n_groups)
+        self._c_node_terms.inc(wstats.node_terms)
+        self._c_pp_terms.inc(wstats.pp_terms)
+        for size in wstats.group_sizes:
+            self._h_group_size.observe(float(size))
         if active.size:
             self._h_nb_count.observe(near / active.size)
         # Book the equivalent direct-sum load for cross-backend flop

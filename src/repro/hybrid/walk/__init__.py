@@ -7,9 +7,10 @@ with conservative bounding-sphere acceptance (:func:`walk_groups`),
 and evaluate the shared interaction lists in bulk through the
 :mod:`repro.accel` kernel engine (:func:`grouped_accelerations`).
 
-This is the walk :meth:`repro.baselines.tree.Octree.accelerations`
-uses by default (``walk="grouped"`` / ``REPRO_TREE_WALK=grouped``);
-``walk="persink"`` keeps the legacy per-sink frontier for comparison.
+This is the only walk :meth:`repro.baselines.tree.Octree.accelerations`
+has: the tree backend and the hybrid far field both run on it, and
+direct summation (which it equals bitwise at ``theta = 0``) is its
+oracle.
 """
 
 from .engine import WalkStats, grouped_accelerations

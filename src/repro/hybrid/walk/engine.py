@@ -1,12 +1,11 @@
 """Bulk evaluation of grouped-walk interaction lists via ``repro.accel``.
 
-:func:`grouped_accelerations` is the drop-in vectorised replacement
-for the per-sink octree walk: group the sinks
-(:func:`~repro.hybrid.walk.groups.build_groups`), walk once per group
-(:func:`~repro.hybrid.walk.groups.walk_groups`), then evaluate each
-group's shared lists in two bulk kernel calls — accepted-node
-multipoles through :meth:`KernelEngine.node_force` and opened-leaf
-sources through :meth:`KernelEngine.acc_jerk` /
+:func:`grouped_accelerations` is the octree's one force walk: group
+the sinks (:func:`~repro.hybrid.walk.groups.build_groups`), walk once
+per group (:func:`~repro.hybrid.walk.groups.walk_groups`), then
+evaluate each group's shared lists in two bulk kernel calls —
+accepted-node multipoles through :meth:`KernelEngine.node_force` and
+opened-leaf sources through :meth:`KernelEngine.acc_jerk` /
 :meth:`~KernelEngine.acc_jerk_masked`.
 
 Exactness contracts (tested):
@@ -34,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...baselines.tree import pair_arrays
 from .groups import build_groups, walk_groups
 
 __all__ = ["WalkStats", "grouped_accelerations"]
@@ -84,7 +82,7 @@ def grouped_accelerations(
     near_rows: list[np.ndarray] = []
     near_src: list[np.ndarray] = []
     if n_i == 0:
-        return acc, jerk, stats, None if h_i is None else pair_arrays(near_rows, near_src)
+        return acc, jerk, stats, None if h_i is None else _pair_arrays(near_rows, near_src)
 
     # sinks without velocities still go through the acc+jerk kernels
     # (the node-monopole jerk falls out of the same tile); the jerk
@@ -168,4 +166,11 @@ def grouped_accelerations(
             if want_jerk:
                 jerk[rows] = j_g
 
-    return acc, jerk, stats, None if h_i is None else pair_arrays(near_rows, near_src)
+    return acc, jerk, stats, None if h_i is None else _pair_arrays(near_rows, near_src)
+
+
+def _pair_arrays(rows: list[np.ndarray], src: list[np.ndarray]):
+    """Concatenate per-group neighbour hits into ``(rows, src)`` int64 arrays."""
+    if not rows:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(rows), np.concatenate(src)

@@ -38,9 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...baselines.tree import _POPCOUNT, _SQRT3, concat_ranges
+from ...baselines.tree import _POPCOUNT, concat_ranges
 
 __all__ = ["SinkGroups", "InteractionLists", "build_groups", "walk_groups"]
+
+_SQRT3 = float(np.sqrt(3.0))  # circumscribed-sphere factor of a cube
 
 
 @dataclass

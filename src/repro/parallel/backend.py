@@ -14,15 +14,16 @@ threaded slab reduction.  Consequence: a multiprocess run is
 rank-kill chaos tests meaningful (recovery must reproduce the same
 bits, not just similar physics).
 
-Three execution modes share the one program:
+Two execution modes share the one program:
 
 * ``"proc"`` — the supervised process gang (heartbeats, restart,
   degrade);
 * ``"vm"`` — the in-process :class:`~repro.parallel.spmd.VirtualMachine`
-  (deterministic scheduling, predicted comm costs, no processes);
-* ``"serial"`` — the plain accel-engine evaluation, as
-  :class:`~repro.core.backends.HostDirectBackend` would do it (the
-  equality baseline).
+  (deterministic scheduling, predicted comm costs, no processes).
+
+The single-process equality baseline is
+:class:`~repro.core.backends.HostDirectBackend`: the same engine's
+``acc_jerk_active``, which both modes reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ class SpmdBackend(ForceBackend):
     eps:
         Plummer softening.
     n_ranks:
-        Gang size (``mode="serial"`` ignores it).
+        Gang size.
     mode:
-        ``"proc"`` (supervised processes), ``"vm"`` (in-process
-        scheduler) or ``"serial"`` (single-process baseline).
+        ``"proc"`` (supervised processes) or ``"vm"`` (in-process
+        scheduler).
     route:
         Partial-force exchange pattern of the chunk program:
         ``"gather"`` or ``"ring"``.
@@ -63,7 +64,7 @@ class SpmdBackend(ForceBackend):
         rank-domain faults fire at superstep boundaries of the gang.
     engine:
         A :class:`repro.accel.KernelEngine` for the chunk plan and the
-        serial/potential paths; defaults to the process-wide engine.
+        potential; defaults to the process-wide engine.
     obs:
         Observability bundle, forwarded to the process engine.
     """
@@ -81,7 +82,7 @@ class SpmdBackend(ForceBackend):
     ) -> None:
         if eps < 0:
             raise ValueError("softening must be non-negative")
-        if mode not in ("proc", "vm", "serial"):
+        if mode not in ("proc", "vm"):
             raise ConfigurationError(f"unknown spmd mode {mode!r}")
         if route not in ("gather", "ring"):
             raise ConfigurationError(f"unknown spmd route {route!r}")
@@ -117,10 +118,6 @@ class SpmdBackend(ForceBackend):
 
     def forces_on(self, system, active: np.ndarray, t_now: float):
         active = np.asarray(active)
-        if self.mode == "serial":
-            return self.engine.acc_jerk_active(
-                system, active, t_now, self.eps, counter=self.counter
-            )
         params = {
             "eps": self.eps,
             "t_now": float(t_now),

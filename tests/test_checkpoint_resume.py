@@ -322,3 +322,43 @@ class TestCLICheckpointWorkflow:
         # so a second resume can still rebuild the backend from disk
         assert main(["run", "--resume", str(d)]) == 0
         assert "production run complete" in capsys.readouterr().out
+
+    def _checkpoint_with(self, tmp_path, capsys, config):
+        """A finished hybrid run whose newest checkpoint's config is
+        patched with ``config``, as an older version could have written it."""
+        from repro.cli import main
+
+        d = tmp_path / "rundir"
+        assert main(self.RUN + ["--backend", "hybrid", "--run-dir", str(d)]) == 0
+        capsys.readouterr()
+        mgr = CheckpointManager(d / "checkpoints")
+        system, state = mgr.load_latest()
+        assert "tree_walk" not in state["config"]  # no longer written
+        state["config"].update(config)
+        mgr.write(system, state)
+        return d
+
+    @pytest.mark.parametrize("retired", [
+        {"tree_walk": "persink"},
+        {"backend": "spmd", "spmd_mode": "serial"},
+    ], ids=["tree_walk", "spmd_mode"])
+    def test_resume_with_retired_setting_exits_2(self, capsys, tmp_path,
+                                                  retired):
+        """Settings that no longer exist refuse to resume rather than
+        silently continue on a different force path."""
+        from repro.cli import main
+
+        d = self._checkpoint_with(tmp_path, capsys, retired)
+        assert main(["run", "--resume", str(d)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert repr(list(retired.values())[-1]) in captured.err
+        assert "resuming from" not in captured.out
+
+    def test_resume_with_grouped_tree_walk(self, capsys, tmp_path):
+        from repro.cli import main
+
+        d = self._checkpoint_with(tmp_path, capsys, {"tree_walk": "grouped"})
+        assert main(["run", "--resume", str(d)]) == 0
+        assert "production run complete" in capsys.readouterr().out

@@ -297,7 +297,7 @@ def dense_near_field_reference(backend, system, active, t_now):
     acc, jerk = tree.accelerations(
         pos_i, theta=backend.theta, eps=backend.eps, vel_i=vel_i,
         exclude_self=active.astype(np.int64), h_i=h_act,
-        walk=backend.walk, n_crit=backend.n_crit, engine=backend.engine,
+        n_crit=backend.n_crit, engine=backend.engine,
     )
     dr = system.pred_pos[None, :, :] - pos_i[:, None, :]
     dist2 = np.einsum("ijk,ijk->ij", dr, dr)
@@ -317,15 +317,13 @@ def dense_near_field_reference(backend, system, active, t_now):
 class TestNearFieldFromWalk:
     """The walk's neighbour pairs replace the dense predicate bit for bit."""
 
-    @pytest.mark.parametrize("walk", ["grouped", "persink"])
     @pytest.mark.parametrize("theta", [0.0, 0.6])
-    def test_forces_on_bitwise_equals_dense_reference(self, walk, theta):
+    def test_forces_on_bitwise_equals_dense_reference(self, theta):
         sys_ = make_random_cluster(160, seed=4)
         sys_.h_nb[:] = np.random.default_rng(5).choice(
             [0.0, 0.2, 0.6], size=sys_.n)  # 0 = the backend default
         active = np.arange(1, sys_.n, 2)
-        backend = HybridBackend(eps=EPS, theta=theta, r_neighbour=0.4,
-                                walk=walk)
+        backend = HybridBackend(eps=EPS, theta=theta, r_neighbour=0.4)
         # t_now past the particles' time: sinks are predicted positions
         a_h, j_h = backend.forces_on(sys_, active, 0.05)
         a_r, j_r, near = dense_near_field_reference(
@@ -336,8 +334,8 @@ class TestNearFieldFromWalk:
         assert np.array_equal(j_h, j_r)
 
 
-class TestPersinkWalk:
-    """``HybridBackend(walk="persink")`` — the ``--tree-walk persink`` path."""
+class TestThetaZeroRun:
+    """A short disk run at ``theta = 0`` with neighbour spheres engaged."""
 
     def _run(self, backend, t_end=10.0):
         sys_ = fresh_disk()
@@ -348,32 +346,15 @@ class TestPersinkWalk:
         sim.evolve(t_end)
         return sys_
 
-    def test_walks_agree_and_theta_zero_matches_direct(self):
-        runs = {
-            walk: HybridBackend(eps=0.008, theta=0.0, r_neighbour=0.05,
-                                walk=walk)
-            for walk in ("grouped", "persink")
-        }
-        finals = {walk: self._run(b) for walk, b in runs.items()}
+    def test_theta_zero_run_tracks_direct(self):
+        hybrid = HybridBackend(eps=0.008, theta=0.0, r_neighbour=0.05)
+        final = self._run(hybrid)
         direct = self._run(HostDirectBackend(eps=0.008))
-        assert runs["persink"].near_interactions > 0
-        assert (runs["persink"].near_interactions
-                == runs["grouped"].near_interactions)
-        assert runs["persink"].builds == runs["grouped"].builds
-        for final in finals.values():
-            np.testing.assert_allclose(final.pos, direct.pos, rtol=1e-11,
-                                       atol=1e-12)
-            np.testing.assert_allclose(final.vel, direct.vel, rtol=1e-11,
-                                       atol=1e-12)
-
-    def test_cli_persink_run(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "run", "--n", "32", "--t-end", "1", "--backend", "hybrid",
-            "--theta", "0.4", "--tree-walk", "persink",
-        ]) == 0
-        assert "block steps:" in capsys.readouterr().out
+        assert hybrid.near_interactions > 0
+        np.testing.assert_allclose(final.pos, direct.pos, rtol=1e-11,
+                                   atol=1e-12)
+        np.testing.assert_allclose(final.vel, direct.vel, rtol=1e-11,
+                                   atol=1e-12)
 
 
 class TestNearFieldMemory:

@@ -85,13 +85,13 @@ class TestQuadrupole:
 
         def med_err(quad):
             tree = Octree(pos, mass, quadrupole=quad)
-            # pin the per-sink MAC: the grouped walk's conservative
-            # group-radius acceptance degenerates to (exact) direct
-            # summation at this small N, leaving no approximation error
-            # for the quadrupole to improve on
+            # small sink groups: at the default n_crit=32 the
+            # conservative group-radius acceptance degenerates to
+            # (exact) direct summation at this small N, leaving no
+            # approximation error for the quadrupole to improve on
             a_t, _ = tree.accelerations(pos, theta=0.6, eps=0.01,
                                         exclude_self=np.arange(n),
-                                        walk="persink")
+                                        n_crit=8)
             return np.median(
                 np.linalg.norm(a_t - a_d, axis=1) / np.linalg.norm(a_d, axis=1)
             )

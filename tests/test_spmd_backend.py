@@ -2,8 +2,9 @@
 
 The contract under test is the acceptance bar of the multiprocess
 engine: a simulation driven by :class:`repro.parallel.SpmdBackend` is
-**bit-identical** across serial, threaded, in-process-VM and
-multiprocess execution, stays bit-identical under seeded rank kills,
+**bit-identical** across in-process-VM and multiprocess execution and
+to serial and threaded host direct summation
+(:class:`repro.core.HostDirectBackend`), stays bit-identical under seeded rank kills,
 and a run killed mid-flight resumes from its checkpoint to the exact
 same final state.
 """
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.accel import EngineConfig, KernelEngine
-from repro.core import KeplerField, Simulation, TimestepParams
+from repro.core import HostDirectBackend, KeplerField, Simulation, TimestepParams
 from repro.errors import ConfigurationError, SimulationKilled
 from repro.parallel import ProcConfig, SpmdBackend
 from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
@@ -79,18 +80,17 @@ class TestBitIdentity:
         system = build_disk_system(
             PlanetesimalDiskConfig(n_planetesimals=n, seed=9)
         )
-        sim = make_spmd_sim(SpmdBackend(0.008, mode="serial",
-                                        engine=forced_engine()), n=n, seed=9)
+        sim = make_spmd_sim(HostDirectBackend(0.008, engine=forced_engine()),
+                            n=n, seed=9)
         system = sim.system
         active = np.arange(0, system.n, 2)
         t_now = float(system.t.max()) + 1e-3
 
         results = {}
         for label, backend in (
-            ("serial", SpmdBackend(0.008, mode="serial",
-                                   engine=forced_engine())),
-            ("threaded", SpmdBackend(0.008, mode="serial",
-                                     engine=forced_engine(threads=4))),
+            ("serial", HostDirectBackend(0.008, engine=forced_engine())),
+            ("threaded", HostDirectBackend(0.008,
+                                           engine=forced_engine(threads=4))),
             ("vm", SpmdBackend(0.008, n_ranks=3, mode="vm",
                                engine=forced_engine())),
             ("proc", SpmdBackend(0.008, n_ranks=3, mode="proc",
@@ -115,8 +115,10 @@ class TestBitIdentity:
                 SpmdBackend(0.008, n_ranks=2, mode=mode,
                             engine=forced_engine())
             )
-            for mode in ("serial", "vm", "proc")
+            for mode in ("vm", "proc")
         }
+        digests["serial"] = run_and_digest(
+            HostDirectBackend(0.008, engine=forced_engine()))
         assert len(set(digests.values())) == 1, digests
 
     def test_proc_exposes_run_stats(self):

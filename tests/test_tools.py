@@ -75,6 +75,15 @@ class TestRender:
         assert out.exists()
         assert "# API reference" in out.read_text()
 
+    def test_committed_api_md_is_current(self):
+        """docs/API.md is generated, so public names that were removed
+        or renamed cannot linger in it."""
+        committed = Path(__file__).parent.parent / "docs" / "API.md"
+        assert committed.read_text() == render_api_docs(), (
+            "docs/API.md is stale: regenerate it with "
+            "`PYTHONPATH=src python tools/gen_api_docs.py`"
+        )
+
 
 class TestMetricNameLint:
     def test_repo_source_is_clean(self, capsys):

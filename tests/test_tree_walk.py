@@ -1,34 +1,26 @@
-"""Cross-walk equivalence matrix for the octree force engines.
+"""Contracts of the octree's force walk, with direct summation as oracle.
 
-The tree exposes two walk strategies — the legacy per-sink python walk
-(``walk="persink"``) and the vectorised grouped walk
-(``walk="grouped"``, the default).  These tests pin down the contracts
-that make them interchangeable:
+The tree has one walk, the vectorised grouped walk of
+:mod:`repro.hybrid.walk`.  These tests pin down its contracts:
 
-* at ``theta = 0`` the grouped walk is *bitwise* identical to direct
-  summation through the tiled kernels (the per-sink walk is exact up
-  to summation order — it associates the same pairs differently);
-* at finite ``theta`` both walks stay inside the documented
-  ``0.1 * theta**2`` median relative-error envelope, and the grouped
-  walk (whose group-radius acceptance is strictly more conservative
-  than the per-sink MAC) is never less accurate;
-* per-sink neighbour spheres carve the same near/far partition out of
-  either walk — near + far reassembles direct summation exactly;
-* the grouped walk is bit-identical between serial and threaded
-  kernel engines;
+* at ``theta = 0`` it is *bitwise* identical to direct summation
+  through the tiled kernels;
+* at finite ``theta`` it stays inside the documented
+  ``0.1 * theta**2`` median relative-error envelope;
+* per-sink neighbour spheres carve an exact near/far partition out of
+  it — near + far reassembles direct summation, and the walk's
+  in-sphere pairs equal the dense range predicate;
+* it is bit-identical between serial and threaded kernel engines;
 * a sink coinciding with a node's centre of mass stays finite
   (regression for the guarded ``1/(r2*sqrt(r2))`` sites).
 """
-
-import os
 
 import numpy as np
 import pytest
 from conftest import make_random_cluster
 
 from repro.accel import EngineConfig, KernelEngine
-from repro.baselines.tree import WALK_MODES, Octree, resolve_walk_mode
-from repro.errors import ConfigurationError
+from repro.baselines.tree import Octree
 from repro.hybrid.walk import build_groups, walk_groups
 
 EPS = 0.01
@@ -55,10 +47,10 @@ def direct(cluster):
                                  self_indices=np.arange(c.n), kernel="accel")
 
 
-def _walk(tree, cluster, theta, walk, **kw):
+def _walk(tree, cluster, theta, **kw):
     return tree.accelerations(
         cluster.pos, theta=theta, eps=EPS, vel_i=cluster.vel,
-        exclude_self=np.arange(cluster.n), walk=walk, **kw,
+        exclude_self=np.arange(cluster.n), **kw,
     )
 
 
@@ -68,96 +60,48 @@ def med_rel_err(a, a_ref):
     )
 
 
-class TestWalkModeResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_WALK", "persink")
-        assert resolve_walk_mode("grouped") == "grouped"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_WALK", "persink")
-        assert resolve_walk_mode(None) == "persink"
-
-    def test_default_is_grouped(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TREE_WALK", raising=False)
-        assert resolve_walk_mode(None) == "grouped"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_walk_mode("warp")
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_WALK", "warp")
-        with pytest.raises(ConfigurationError):
-            resolve_walk_mode(None)
-
-    def test_modes_enumerated(self):
-        assert set(WALK_MODES) == {"grouped", "persink"}
-
-
 class TestThetaZeroBitIdentity:
-    """theta = 0 opens everything: both walks ARE direct summation.
+    """theta = 0 opens everything: the walk IS direct summation.
 
     The grouped walk evaluates its per-group source lists (each the
     full ascending particle range at theta = 0) through the same tiled
     ``accel`` kernel as the direct baseline, so it is *bitwise*
-    identical.  The legacy per-sink walk sums leaf-by-leaf in python —
-    the same pairs in a different association order — so it is exact
-    only up to floating-point summation order (a few ulp).
+    identical.
     """
 
     def test_grouped_matches_direct_bitwise(self, cluster, tree, direct):
-        acc, jerk = _walk(tree, cluster, 0.0, "grouped")
+        acc, jerk = _walk(tree, cluster, 0.0)
         a_d, j_d = direct
         assert np.array_equal(acc, a_d)
         assert np.array_equal(jerk, j_d)
 
-    def test_persink_matches_direct_to_summation_order(self, cluster, tree,
-                                                       direct):
-        acc, jerk = _walk(tree, cluster, 0.0, "persink")
-        assert med_rel_err(acc, direct[0]) < 1e-13
-        assert np.max(np.linalg.norm(acc - direct[0], axis=1)
-                      / np.linalg.norm(direct[0], axis=1)) < 1e-12
-        assert np.max(np.linalg.norm(jerk - direct[1], axis=1)
-                      / np.linalg.norm(direct[1], axis=1)) < 1e-12
-
     def test_quadrupole_tree_also_exact(self, cluster, direct):
         qtree = Octree(cluster.pos, cluster.mass, vel=cluster.vel,
                        quadrupole=True)
-        acc, _ = _walk(qtree, cluster, 0.0, "grouped")
+        acc, _ = _walk(qtree, cluster, 0.0)
         assert np.array_equal(acc, direct[0])
-        acc_p, _ = _walk(qtree, cluster, 0.0, "persink")
-        assert np.max(np.linalg.norm(acc_p - direct[0], axis=1)
-                      / np.linalg.norm(direct[0], axis=1)) < 1e-12
 
 
 class TestErrorEnvelope:
     @pytest.mark.parametrize("theta", [0.3, 0.6, 1.0])
-    def test_both_walks_within_envelope(self, cluster, tree, direct, theta):
-        envelope = 0.1 * theta**2
-        errs = {}
-        for walk in WALK_MODES:
-            acc, _ = _walk(tree, cluster, theta, walk)
-            errs[walk] = med_rel_err(acc, direct[0])
-            assert errs[walk] < envelope, (walk, theta, errs[walk])
-        # the group-radius MAC is strictly more conservative than the
-        # per-sink MAC, so grouped accuracy never degrades
-        assert errs["grouped"] <= errs["persink"]
+    def test_within_envelope(self, cluster, tree, direct, theta):
+        acc, _ = _walk(tree, cluster, theta)
+        err = med_rel_err(acc, direct[0])
+        assert err < 0.1 * theta**2, (theta, err)
 
     def test_grouped_actually_approximates_at_scale(self, cluster, tree):
         """Guard against the grouped walk silently degenerating to
         direct summation (zero accepted nodes) on a generic cluster."""
-        _walk(tree, cluster, 1.0, "grouped")
+        _walk(tree, cluster, 1.0)
         assert tree.walk_stats.node_terms > 0
 
 
 class TestNeighbourSphereExactness:
-    @pytest.mark.parametrize("walk", WALK_MODES)
-    def test_near_plus_far_reassembles_direct(self, cluster, tree, direct,
-                                              walk):
+    def test_near_plus_far_reassembles_direct(self, cluster, tree, direct):
         c = cluster
         n = c.n
         h = np.full(n, 0.5)
-        far, _ = _walk(tree, c, 0.0, walk, h_i=h)
+        far, _ = _walk(tree, c, 0.0, h_i=h)
 
         dr = c.pos[None, :, :] - c.pos[:, None, :]
         dist2 = np.einsum("ijk,ijk->ij", dr, dr)
@@ -182,8 +126,8 @@ class TestGroupedDeterminism:
     def test_serial_vs_threaded_bit_identical(self, cluster, tree, theta):
         serial, threaded = self._engine(1), self._engine(4)
         try:
-            a1, j1 = _walk(tree, cluster, theta, "grouped", engine=serial)
-            a4, j4 = _walk(tree, cluster, theta, "grouped", engine=threaded)
+            a1, j1 = _walk(tree, cluster, theta, engine=serial)
+            a4, j4 = _walk(tree, cluster, theta, engine=threaded)
         finally:
             serial.close()
             threaded.close()
@@ -252,40 +196,26 @@ class TestCoincidentSinkRegression:
         mass = np.ones(5)
         return pos, mass
 
-    @pytest.mark.parametrize("walk", WALK_MODES)
     @pytest.mark.parametrize("theta", [0.0, 0.5])
-    def test_stays_finite(self, symmetric, walk, theta):
+    def test_stays_finite(self, symmetric, theta):
         pos, mass = symmetric
         tree = Octree(pos, mass, leaf_size=1)
         com = tree.node_com[tree.root]
         assert np.allclose(com, 0.0)  # probe coincides with root COM
         acc, _ = tree.accelerations(
-            pos, theta=theta, eps=0.05, exclude_self=np.arange(5), walk=walk,
+            pos, theta=theta, eps=0.05, exclude_self=np.arange(5),
         )
         assert np.isfinite(acc).all()
         # symmetry: the probe at the origin feels zero net force
         np.testing.assert_allclose(acc[4], 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("walk", WALK_MODES)
-    def test_unsoftened_theta_zero_finite(self, symmetric, walk):
+    def test_unsoftened_theta_zero_finite(self, symmetric):
         pos, mass = symmetric
         tree = Octree(pos, mass, leaf_size=1)
         acc, _ = tree.accelerations(
-            pos, theta=0.0, eps=0.0, exclude_self=np.arange(5), walk=walk,
+            pos, theta=0.0, eps=0.0, exclude_self=np.arange(5),
         )
         assert np.isfinite(acc).all()
-
-
-class TestEnvSelection:
-    def test_tree_walk_env_reaches_accelerations(self, cluster, tree,
-                                                 monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_WALK", "persink")
-        _walk(tree, cluster, 0.6, None)
-        assert tree.walk_stats is None  # persink path records no WalkStats
-        monkeypatch.setenv("REPRO_TREE_WALK", "grouped")
-        _walk(tree, cluster, 0.6, None)
-        assert tree.walk_stats is not None
-        assert os.environ["REPRO_TREE_WALK"] == "grouped"
 
 
 def dense_neighbour_pairs(sinks, pos, h, self_idx):
@@ -339,17 +269,16 @@ class TestNeighbourPairsOracle:
         drift[:3] = pos[:3]  # keep the boundary probes exact
         return pos, vel, mass, h, drift
 
-    @pytest.mark.parametrize("walk", WALK_MODES)
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("sinks", ["particles", "drifted"])
-    def test_pairs_equal_dense_predicate(self, scene, walk, theta, sinks):
+    def test_pairs_equal_dense_predicate(self, scene, theta, sinks):
         pos, vel, mass, h, drift = scene
         n = pos.shape[0]
         tree = Octree(pos, mass, vel=vel, leaf_size=4)
         sink_pos = pos if sinks == "particles" else drift
         tree.accelerations(
             sink_pos, theta=theta, eps=EPS, vel_i=vel,
-            exclude_self=np.arange(n), h_i=h, walk=walk, n_crit=8,
+            exclude_self=np.arange(n), h_i=h, n_crit=8,
         )
         got = sorted_pairs(tree.neighbour_pairs)
         want = dense_neighbour_pairs(sink_pos, pos, h, np.arange(n))
@@ -364,22 +293,20 @@ class TestNeighbourPairsOracle:
             assert {(3, 10), (3, 11), (3, 12)} <= hits  # coincident
         assert not (h[want[0]] == 0).any()  # h = 0 has no neighbours
 
-    @pytest.mark.parametrize("walk", WALK_MODES)
-    def test_subset_of_sinks_keeps_row_numbers(self, scene, walk):
+    def test_subset_of_sinks_keeps_row_numbers(self, scene):
         """Rows index the sink block, not the particle array."""
         pos, vel, mass, h, _ = scene
         active = np.arange(0, pos.shape[0], 3)
         tree = Octree(pos, mass, vel=vel)
         tree.accelerations(
             pos[active], theta=0.7, eps=EPS, vel_i=vel[active],
-            exclude_self=active, h_i=h[active], walk=walk,
+            exclude_self=active, h_i=h[active],
         )
         got = sorted_pairs(tree.neighbour_pairs)
         want = dense_neighbour_pairs(pos[active], pos, h[active], active)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize("walk", WALK_MODES)
-    def test_no_spheres_no_pairs(self, cluster, tree, walk):
-        _walk(tree, cluster, 0.5, walk)
+    def test_no_spheres_no_pairs(self, cluster, tree):
+        _walk(tree, cluster, 0.5)
         assert tree.neighbour_pairs is None
